@@ -1020,6 +1020,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 def _cmd_dist_worker(args: argparse.Namespace) -> int:
     from multiprocessing import AuthenticationError
 
+    from repro.dist.protocol import ProtocolError
     from repro.dist.worker import connect_and_serve
 
     address = _parse_hostport(args.connect)
@@ -1055,7 +1056,7 @@ def _cmd_dist_worker(args: argparse.Namespace) -> int:
                 time.sleep(0.5)
     except KeyboardInterrupt:
         return 0
-    except (OSError, EOFError, AuthenticationError) as exc:
+    except (OSError, EOFError, AuthenticationError, ProtocolError) as exc:
         print(f"dist-worker: {exc}", file=sys.stderr)
         return 1
 

@@ -315,8 +315,10 @@ class CPLAConfig:
     workers: int = 0
     # Execution backend of the leaf solves:
     # - "pool": the persistent ProcessPoolExecutor (needs workers > 1);
-    # - "dist": the coordinator/worker solve fabric (dynamic largest-first
-    #   scheduling, work stealing, crash/timeout retry — see repro.dist);
+    # - "dist": the coordinator/worker solve fabric (cost-banded leaf
+    #   chunks, each solved with the batch kernel on a worker; dynamic
+    #   largest-first scheduling, work stealing, crash/timeout retry —
+    #   see repro.dist);
     # - "batch": in-process vectorized ADMM over shape-bucketed stacks
     #   (repro.batchsolve; sdp method only, --workers is meaningless);
     # - "seq": in-process one-at-a-time solves of the same common snapshot

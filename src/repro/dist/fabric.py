@@ -2,35 +2,42 @@
 
 :class:`DistFabric` is a drop-in replacement for
 :class:`~repro.core.engine.LeafSolvePool` (same ``map``/``close``
-contract, same ``(result, telemetry)`` item shape) that swaps the static
-chunked ``pool.map`` for a scheduler:
+contract, same per-leaf ``(result, telemetry)`` item shape) that swaps the
+static ``pool.map`` for a scheduler of **chunk tasks**:
 
-- **cost-ordered dispatch** — tasks are heaped by an estimated cost
-  (segment count x candidate-layer count, see :func:`task_cost`) and
-  dealt largest-first into per-worker queues, so the biggest leaves start
+- **cost bands** — one map's leaves are sorted by an estimated cost
+  (segment count x candidate-layer count, see :func:`task_cost`) and cut
+  into contiguous bands of about equal total cost³, about
+  :data:`CHUNKS_PER_WORKER` per live worker (:func:`cost_bands`).  Each
+  band is one task; a worker solves it with the shared batch ADMM kernel,
+  and leaves of equal matrix order — neighbours in the cost order — stack
+  into the same kernel bucket;
+- **cost-ordered dispatch** — chunks are heaped by their cost and dealt
+  largest-first into per-worker queues, so the biggest leaves start
   earliest and cannot become end-of-run stragglers;
 - **work stealing** — a worker that drains its own queue steals the
-  smallest task from the back of the longest remaining queue, so one
+  smallest chunk from the back of the longest remaining queue, so one
   slow worker cannot strand its backlog;
 - **liveness** — local workers are watched through their process
-  sentinels, remote ones through heartbeats; a crashed worker's tasks
-  are re-dispatched (``dist.retries``) with exponential backoff and the
+  sentinels, remote ones through heartbeats; a crashed worker's chunks
+  are re-dispatched whole (``dist.retries``) with exponential backoff and the
   worker is replaced (``dist.worker_restarts``), up to configured caps;
 - **straggler speculation** — an attempt running far past the median
   completed attempt is duplicated onto an idle worker
   (``dist.stragglers``); the first result wins and late duplicates are
-  dropped.  Leaf solves are deterministic functions of the problem (the
-  warm-start caches provably do not change results — see
-  tests/test_engine_reuse.py), so *which* attempt wins cannot change the
-  assignment: output stays bit-identical to the single-attempt run.
+  dropped.  Leaf solves are deterministic functions of the problem and
+  its shipped warm start, and the batch kernel is slice-independent (a
+  leaf's iterates do not depend on which chunk it stacks with), so
+  neither the banding nor *which* attempt wins can change the
+  assignment: output stays bit-identical to the sequential Jacobi run.
 
 Scheduling state lives entirely in the coordinator thread; worker I/O is
 multiplexed with :func:`multiprocessing.connection.wait`, so there are
 no coordinator-side locks to misorder results.  Every ``map`` returns
-results in task order, which is what keeps the engine's post-mapping
+results in leaf order, which is what keeps the engine's post-mapping
 (and therefore the final assignment digest) independent of scheduling.
 
-Catastrophic failure (a task exhausting its attempts, every worker lost,
+Catastrophic failure (a chunk exhausting its attempts, every worker lost,
 a protocol error) permanently downgrades the fabric exactly like a
 broken pool: ``map`` returns ``None``, the caller solves sequentially,
 and the failure is logged and counted (``engine.pool_failures`` plus
@@ -51,13 +58,17 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Listener, wait as mp_wait
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.dist import protocol
 from repro.obs import convergence, metrics, tracer
 from repro.utils import get_logger
 
 log = get_logger(__name__)
+
+#: Chunk tasks per live worker in one map: enough for dynamic dispatch and
+#: stealing to even out the bands, few enough that each chunk stacks well.
+CHUNKS_PER_WORKER = 4
 
 
 def task_cost(problem) -> float:
@@ -78,6 +89,38 @@ def task_cost(problem) -> float:
     )
 
 
+def cost_bands(costs: Sequence[float], count: int) -> List[List[int]]:
+    """Cut leaves into contiguous bands of the cost order.
+
+    Leaves are ordered by descending cost (ties by index) and balanced by
+    total cost³ — roughly the eigendecomposition work of a leaf — into
+    about ``count`` bands.  Each cut aims at an equal share of the weight
+    not yet assigned, so a leaf heavier than one share forms its own band
+    without starving the bands after it.  A band also holds at most its
+    share of the leaves: the many smallest leaves weigh little in cost³,
+    but each still costs a fixed amount to build, finish and ship, so
+    without the cap they would pile into one slow tail band.  Hence at
+    most ``2 * count`` bands.  Returns lists of indices into ``costs``.
+    """
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    remaining = sum(costs[i] ** 3 for i in order)
+    max_leaves = -(-len(costs) // count)
+    bands: List[List[int]] = []
+    band: List[int] = []
+    weight = 0.0
+    for i in order:
+        band.append(i)
+        weight += costs[i] ** 3
+        left = count - len(bands)
+        if len(band) >= max_leaves or (left > 1 and weight >= remaining / left):
+            bands.append(band)
+            remaining -= weight
+            band, weight = [], 0.0
+    if band:
+        bands.append(band)
+    return bands
+
+
 @dataclass
 class DistFabricConfig:
     """Scheduler knobs (all tunable; defaults documented in
@@ -90,10 +133,10 @@ class DistFabricConfig:
     # tolerated before a worker (remote ones have no sentinel) is lost.
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 15.0
-    # Total attempts per task before the fabric gives up (and the engine
+    # Total attempts per chunk before the fabric gives up (and the engine
     # falls back to sequential solving).
     max_attempts: int = 4
-    # Exponential backoff between re-dispatches of a failed task.
+    # Exponential backoff between re-dispatches of a failed chunk.
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     # Speculative duplicates: an attempt running straggler_factor x the
@@ -117,20 +160,23 @@ class FabricBroken(RuntimeError):
 
 @dataclass
 class _Task:
+    """One chunk of leaves: the unit of dispatch, retry, steal, speculation."""
+
     index: int
-    problem: Any
+    leaves: List[int]  # positions in the map's problem list
+    # (problem, warm) per leaf.  The warm-start state is captured from the
+    # coordinator's solver when the map began and ships inside the
+    # payload, so every attempt of this chunk — any worker, any retry, any
+    # speculative duplicate — solves the exact same pairs and returns the
+    # identical results.
+    items: List[Tuple[Any, Any]]
     cost: float
-    # Warm-start state captured from the coordinator's solver when the map
-    # began.  It ships inside the payload, so every attempt of this task —
-    # any worker, any retry, any speculative duplicate — solves the exact
-    # same (problem, warm) pair and returns the identical result.
-    warm: Any = None
-    new_warm: Any = None  # post-solve state from the accepted result
     payload: Optional[str] = None  # lazily packed, cached across retries
     failures: int = 0
     dispatches: int = 0
     done: bool = False
-    result: Any = None
+    # Accepted per-leaf (result, telemetry, new_warm), in chunk order.
+    result: Optional[list] = None
     not_before: float = 0.0
     speculated: bool = False
     running_on: set = field(default_factory=set)
@@ -199,10 +245,12 @@ class DistFabric:
         self._accept_lock = threading.Lock()
         self._accept_thread: Optional[threading.Thread] = None
         self._durations: List[float] = []  # completed attempt seconds
+        # ``tasks`` counts leaves, ``chunks`` the chunk tasks they ship in;
+        # retries/steals/stragglers count chunks.
         self.stats: Dict[str, Any] = {
-            "tasks": 0, "retries": 0, "steals": 0, "stragglers": 0,
-            "worker_restarts": 0, "late_results": 0, "failures": 0,
-            "maps": 0, "utilization": {},
+            "tasks": 0, "chunks": 0, "retries": 0, "steals": 0,
+            "stragglers": 0, "worker_restarts": 0, "late_results": 0,
+            "failures": 0, "maps": 0, "utilization": {},
         }
         _LIVE_FABRICS.add(self)
 
@@ -388,16 +436,32 @@ class DistFabric:
         managed = hasattr(self._solver, "export_warm") and hasattr(
             self._solver, "import_warm"
         )
+        self._adopt_remote_workers()
+        live = sum(1 for w in self._workers.values() if not w.dead)
+        costs = [task_cost(p) for p in problems]
         tasks = [
             _Task(
-                index=i, problem=p, cost=task_cost(p),
-                warm=self._solver.export_warm(p) if managed else None,
+                index=i,
+                leaves=band,
+                items=[
+                    (
+                        problems[leaf],
+                        self._solver.export_warm(problems[leaf])
+                        if managed else None,
+                    )
+                    for leaf in band
+                ],
+                cost=sum(costs[leaf] ** 3 for leaf in band),
             )
-            for i, p in enumerate(problems)
+            for i, band in enumerate(
+                cost_bands(costs, CHUNKS_PER_WORKER * max(live, 1))
+            )
         ]
-        self.stats["tasks"] += len(tasks)
+        self.stats["tasks"] += len(problems)
+        self.stats["chunks"] += len(tasks)
         self.stats["maps"] += 1
-        metrics.inc("dist.tasks", len(tasks))
+        metrics.inc("dist.tasks", len(problems))
+        metrics.inc("dist.chunks", len(tasks))
         retry_heap: List[Tuple[float, float, int]] = []  # (not_before, -cost, idx)
         started = time.monotonic()
         for worker in self._workers.values():
@@ -424,12 +488,18 @@ class DistFabric:
                     )
             completed += self._reap_timeouts(tasks, retry_heap)
         self._finish_map(started)
-        # Advance the authoritative warm store in task order — the same
+        results: list = [None] * len(problems)
+        new_warm: list = [None] * len(problems)
+        for task in tasks:
+            for leaf, (result, telemetry, warm) in zip(task.leaves, task.result):
+                results[leaf] = (result, telemetry)
+                new_warm[leaf] = warm
+        # Advance the authoritative warm store in leaf order — the same
         # order the sequential fallback and the pool backend would.
         if managed:
-            for task in tasks:
-                self._solver.import_warm(task.problem, task.new_warm)
-        return [t.result for t in tasks]
+            for problem, warm in zip(problems, new_warm):
+                self._solver.import_warm(problem, warm)
+        return results
 
     def _deal_queues(self, tasks: List[_Task]) -> None:
         """Largest-first heap, dealt round-robin into per-worker queues."""
@@ -566,13 +636,14 @@ class DistFabric:
 
     def _send_task(self, worker, task: _Task, now: float) -> bool:
         if task.payload is None:
-            task.payload = protocol.pack_payload((task.problem, task.warm))
+            task.payload = protocol.pack_payload(task.items)
         task.dispatches += 1
         message = {
             "type": "task",
             "task": task.index,
             "attempt": task.dispatches,
             "cost": task.cost,
+            "leaves": len(task.leaves),
             "payload": task.payload,
         }
         # The trace context rides in the JSON envelope, not the cached
@@ -637,17 +708,14 @@ class DistFabric:
             worker.tasks_done += 1
         if task.done:
             # A speculative duplicate lost the race.  Every attempt solves
-            # the same (problem, warm) pair, so the dropped result is
-            # bit-identical to the one already recorded — dropping it
+            # the same (problem, warm) pairs, so the dropped results are
+            # bit-identical to the ones already recorded — dropping them
             # cannot change the output.
             self.stats["late_results"] += 1
             metrics.inc("dist.late_results")
             return 0
         task.done = True
-        result, telemetry, task.new_warm = protocol.unpack_payload(
-            message["payload"]
-        )
-        task.result = (result, telemetry)
+        task.result = protocol.unpack_payload(message["payload"])
         self._durations.append(float(message.get("solve_seconds", 0.0)))
         return 1
 
@@ -705,7 +773,7 @@ class DistFabric:
         task.failures += 1
         if task.failures >= self.config.max_attempts:
             raise FabricBroken(
-                f"task {task.index} failed {task.failures} attempts "
+                f"chunk {task.index} failed {task.failures} attempts "
                 f"(last: {reason})"
             )
         backoff = self.config.backoff_base * (
@@ -716,7 +784,7 @@ class DistFabric:
         self.stats["retries"] += 1
         metrics.inc("dist.retries")
         log.warning(
-            "re-dispatching task %d in %.2fs (attempt %d; %s)",
+            "re-dispatching chunk %d in %.2fs (attempt %d; %s)",
             task.index, backoff, task.failures + 1, reason,
         )
 

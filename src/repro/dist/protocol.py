@@ -29,20 +29,26 @@ type            direction   fields
 ==============  ==========  ==================================================
 ``init``        C -> W      ``payload`` = pickled ``(solver, capture_flags)``
 ``ready``       W -> C      ``worker``, ``pid``
-``task``        C -> W      ``task``, ``attempt``, ``cost``, ``payload`` =
-                            pickled ``(problem, warm_state)``; optional
+``task``        C -> W      ``task``, ``attempt``, ``cost``, ``leaves``,
+                            ``payload`` = pickled chunk
+                            ``[(problem, warm_state), ...]``; optional
                             ``trace`` = ``{"trace_id", "span_id"}`` — the
                             coordinator's trace context, carried in the
                             JSON envelope (not the cached pickled payload)
                             so retries and steals re-ship the live context
 ``result``      W -> C      ``task``, ``attempt``, ``solve_seconds``,
-                            ``payload`` = pickled
-                            ``(result, telemetry, new_warm_state)``
+                            ``payload`` = pickled per-leaf
+                            ``[(result, telemetry, new_warm_state), ...]``
 ``error``       W -> C      ``task``, ``attempt``, ``message``
 ``heartbeat``   W -> C      ``worker``, ``tasks_done``
 ``shutdown``    C -> W      --
 ``bye``         W -> C      ``worker``
 ==============  ==========  ==================================================
+
+``v2`` made a task a chunk of leaves (``v1`` shipped one leaf per task).
+The payload shapes differ while the envelope does not, so every frame is
+version-checked: a peer of another version is refused at its first frame
+instead of mis-unpacking a payload.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import pickle
 import struct
 from typing import Any, Dict, Optional
 
-PROTOCOL_VERSION = "repro.dist/v1"
+PROTOCOL_VERSION = "repro.dist/v2"
 
 # 64 MiB: far above any leaf problem, far below a runaway payload.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -105,7 +111,9 @@ def decode_frame(data: bytes) -> Dict[str, Any]:
     version = message.get("v")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"frame version {version!r} is not {PROTOCOL_VERSION!r}"
+            f"frame version {version!r} is not {PROTOCOL_VERSION!r}: the "
+            f"peer speaks another protocol; run the same repro version on "
+            f"the coordinator and its workers"
         )
     return message
 

@@ -1,4 +1,4 @@
-"""The fabric worker: one resident solver serving leaf tasks over a pipe.
+"""The fabric worker: one resident solver serving leaf-chunk tasks over a pipe.
 
 A worker is a plain loop over :mod:`repro.dist.protocol` frames — it does
 not care whether its connection is an OS pipe (the in-process workers the
@@ -6,9 +6,10 @@ coordinator spawns) or an authenticated TCP socket (``repro dist-worker
 --connect host:port``).  The first frame must be ``init``: it carries the
 pickled solver (shipped once, exactly like the pool initializer used to)
 plus the observability capture flags; the solver stays resident across
-tasks, while each task ships its own ADMM warm-start state from the
-coordinator's authoritative store (see :func:`solve_task`) so results
-never depend on which worker serves which task.
+tasks, while each task — a chunk of leaves — ships its leaves' ADMM
+warm-start state from the coordinator's authoritative store (see
+:func:`solve_task`) so results never depend on which worker serves which
+chunk.
 
 A daemon thread emits ``heartbeat`` frames so the coordinator can tell a
 hung solve from a dead host even without a process sentinel (the remote
@@ -19,9 +20,9 @@ Fault injection (tests + the CI ``dist-smoke`` job) is armed through the
 ``REPRO_DIST_FAULT`` env var, a comma-separated list of specs:
 
 - ``crash:<worker>:<task>`` — SIGKILL ourselves upon receiving our
-  ``<task>``-th task (1-based) — a mid-task hard crash;
+  ``<task>``-th chunk task (1-based) — a mid-chunk hard crash;
 - ``hang:<worker>:<task>``  — sleep far past any task timeout instead of
-  solving — a straggler/hung worker;
+  solving the chunk — a straggler/hung worker;
 - ``initfail:<worker>``     — raise from the init handshake — a worker
   whose initializer is poisoned.
 
@@ -37,8 +38,10 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
+from repro.batchsolve.solver import BatchLeafSolver
+from repro.core.sdp_relaxation import SdpPartitionSolver
 from repro.dist import protocol
 from repro.obs import collect, tracer
 from repro.utils import WallClock, get_logger
@@ -107,36 +110,69 @@ class _Heartbeat(threading.Thread):
         self._stop.set()
 
 
-def solve_task(solver, capture_flags: Tuple[bool, bool, bool], problem, warm=None,
-               trace=None):
-    """One leaf solve with its telemetry, mirroring the pool task body.
+def solve_task(solver, capture_flags: Tuple[bool, bool, bool], items,
+               trace=None) -> List[Tuple[Any, collect.WorkerTelemetry, Any]]:
+    """Solve one chunk of leaves; returns ``(result, telemetry, new_warm)``
+    per leaf, in chunk order.
 
-    ``warm`` is the coordinator-owned warm-start state shipped with the
-    task; it overwrites this worker's resident state before solving, so
-    every attempt of a task — on any worker, after any steal or retry —
-    computes the identical result.  The post-solve state rides back in
-    the result frame for the coordinator's authoritative store.
+    ``items`` is the task payload: ``[(problem, warm), ...]``.  Each
+    ``warm`` is the coordinator-owned warm-start state of its leaf; it
+    overwrites this worker's resident state before solving, so every
+    attempt of a chunk — on any worker, after any steal or retry —
+    computes the identical results.  The post-solve states ride back for
+    the coordinator's authoritative store, and the worker then forgets
+    them: the coordinator owns the store, so a long-lived worker's solver
+    holds no warm state between tasks.
+
+    The SDP solver solves the whole chunk with the shared batch kernel
+    (:class:`~repro.batchsolve.solver.BatchLeafSolver`); any other solver
+    (the ILP method, test doubles) solves it leaf by leaf.  Both the
+    kernel and the leaf loop are slice-independent, so a chunk's results
+    equal the per-leaf solves bit for bit.  Each leaf's telemetry carries
+    its share of the chunk's solve time — iteration-weighted for the
+    batch kernel, measured for the leaf loop — and the first leaf's also
+    carries the chunk's spans, metrics and convergence records.
 
     ``trace`` is the coordinator's trace context (``TraceContext`` wire
     dict): attaching it after the observability reset makes the worker's
-    ``engine.leaf`` span parent directly under the coordinator's
+    ``dist.chunk`` span parent directly under the coordinator's
     ``dist.map`` span, across the process (and machine) boundary.
     """
     if any(capture_flags):
         collect.init_worker_observability(*capture_flags)
     if trace is not None and tracer.is_enabled():
         tracer.attach(tracer.TraceContext.from_dict(trace))
+    problems = [problem for problem, _ in items]
     managed = hasattr(solver, "import_warm") and hasattr(solver, "export_warm")
     if managed:
-        solver.import_warm(problem, warm)
+        for problem, warm in items:
+            solver.import_warm(problem, warm)
     clock = WallClock()
     with clock.phase("solve"):
         with tracer.span(
-            "engine.leaf", segments=problem.num_vars, worker=True
+            "dist.chunk", leaves=len(problems),
+            segments=sum(p.num_vars for p in problems), worker=True,
         ):
-            result = solver.solve(problem)
-    new_warm = solver.export_warm(problem) if managed else None
-    return result, collect.capture_worker_telemetry(clock), new_warm
+            if isinstance(solver, SdpPartitionSolver):
+                solved = BatchLeafSolver(solver).solve_many(problems)
+                results = [(x_values, info) for x_values, info, _ in solved]
+                weights = [float(info.iterations) for _, info, _ in solved]
+            else:
+                results, weights = [], []
+                for problem in problems:
+                    started = time.perf_counter()
+                    with tracer.span(
+                        "engine.leaf", segments=problem.num_vars, worker=True
+                    ):
+                        results.append(solver.solve(problem))
+                    weights.append(time.perf_counter() - started)
+    new_warm = [solver.export_warm(p) if managed else None for p in problems]
+    if managed:
+        for problem in problems:
+            solver.import_warm(problem, None)
+    telemetry = collect.capture_worker_telemetry(clock)
+    shares = collect.split_worker_telemetry(telemetry, weights)
+    return list(zip(results, shares, new_warm))
 
 
 def serve_connection(
@@ -197,8 +233,8 @@ def serve_connection(
             attempt = message["attempt"]
             started = time.monotonic()
             try:
-                problem, warm = protocol.unpack_payload(message["payload"])
-                result = solve_task(solver, tuple(capture_flags), problem, warm,
+                items = protocol.unpack_payload(message["payload"])
+                result = solve_task(solver, tuple(capture_flags), items,
                                     trace=message.get("trace"))
             except Exception as exc:
                 with send_lock:

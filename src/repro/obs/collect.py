@@ -19,8 +19,8 @@ protocol is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import convergence, metrics, tracer
 from repro.utils import WallClock
@@ -36,6 +36,8 @@ class WorkerTelemetry:
     # Convergence solve records (repro.obs.convergence); partition records
     # are parent-side only, so the payload carries just the solves.
     convergence: List[Dict[str, Any]] = field(default_factory=list)
+    # Bucket records of a dist chunk solved with the batch kernel.
+    buckets: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def reset_worker_state() -> None:
@@ -71,15 +73,40 @@ def capture_worker_telemetry(clock: Optional[WallClock] = None) -> WorkerTelemet
     """Drain this process's telemetry into a picklable payload.
 
     ``clock`` phases are always captured (the worker-timing fix works even
-    with observability off); spans and metrics are drained only when their
-    subsystems are enabled, so the payload stays tiny on the default path.
+    with observability off); spans, metrics and convergence records are
+    drained only when their subsystems are enabled, so the payload stays
+    tiny on the default path.
     """
+    recording = convergence.is_enabled()
     return WorkerTelemetry(
         spans=tracer.drain() if tracer.is_enabled() else [],
         metrics=metrics.registry().as_dict() if metrics.is_enabled() else {},
         phases=dict(clock.totals) if clock is not None else {},
-        convergence=convergence.drain_solves() if convergence.is_enabled() else [],
+        convergence=convergence.drain_solves() if recording else [],
+        buckets=convergence.drain_buckets() if recording else [],
     )
+
+
+def split_worker_telemetry(
+    telemetry: WorkerTelemetry, weights: Sequence[float]
+) -> List[WorkerTelemetry]:
+    """One chunk's telemetry -> one payload per leaf of the chunk.
+
+    Leaf ``i`` gets the ``weights[i] / sum(weights)`` share of every
+    wall-clock phase (an even share when the weights sum to zero), so the
+    leaves' phases add up to the chunk's.  The chunk-level parts — spans,
+    metrics, convergence and bucket records — ride on the first leaf only,
+    so merging every leaf's payload counts them once.
+    """
+    total = float(sum(weights))
+    parts = []
+    for i, weight in enumerate(weights):
+        share = weight / total if total > 0 else 1.0 / len(weights)
+        base = telemetry if i == 0 else WorkerTelemetry()
+        parts.append(replace(base, phases={
+            name: seconds * share for name, seconds in telemetry.phases.items()
+        }))
+    return parts
 
 
 def merge_worker_telemetry(
@@ -113,6 +140,8 @@ def merge_worker_telemetry(
         metrics.registry().merge_dict(telemetry.metrics)
     if telemetry.convergence:
         convergence.extend_solves(telemetry.convergence)
+    if telemetry.buckets:
+        convergence.extend_buckets(telemetry.buckets)
     if worker_clock is not None:
         for name, seconds in telemetry.phases.items():
             worker_clock.add(name, seconds)

@@ -105,9 +105,11 @@ class PartitionRecord:
 
 @dataclass
 class BucketRecord:
-    """One batched-backend kernel call over a shape bucket (parent-side).
+    """One batch-kernel call over a shape bucket.
 
-    Written by :class:`repro.batchsolve.solver.BatchLeafSolver`: the
+    Written by :class:`repro.batchsolve.solver.BatchLeafSolver`, in the
+    parent (``--exec batch``) or in a dist worker solving a chunk (shipped
+    home in its telemetry): the
     bucket's matrix order (``num_constraints`` is the largest constraint
     count stacked — counts may vary within a bucket), how many members
     stacked, how long the lockstep loop ran, and how much
@@ -147,8 +149,9 @@ def record_bucket(record: BucketRecord) -> None:
 def snapshot() -> Dict[str, List[Dict[str, Any]]]:
     """Plain-dict copy of the buffers (the ``RunReport.convergence`` form).
 
-    The ``buckets`` key appears only when the batched backend recorded
-    kernel calls, so pool/dist/sequential snapshots keep their shape.
+    The ``buckets`` key appears only when the batch kernel recorded
+    kernel calls (``--exec batch`` and ``--exec dist`` with the SDP
+    method), so pool/sequential snapshots keep their shape.
     """
     with _lock:
         out = {
@@ -163,8 +166,8 @@ def snapshot() -> Dict[str, List[Dict[str, Any]]]:
 def drain_solves() -> List[Dict[str, Any]]:
     """Return and clear the solve records (worker-payload capture).
 
-    Partition records are parent-side only, so the worker payload carries
-    just the solves.
+    Partition records are parent-side only; the worker payload carries
+    the solves and (dist chunks) the bucket records.
     """
     with _lock:
         out = [asdict(r) for r in _solves]
@@ -178,6 +181,22 @@ def extend_solves(records: List[Dict[str, Any]]) -> None:
         return
     with _lock:
         _solves.extend(SolveRecord(**r) for r in records)
+
+
+def drain_buckets() -> List[Dict[str, Any]]:
+    """Return and clear the bucket records (worker-payload capture)."""
+    with _lock:
+        out = [asdict(r) for r in _buckets]
+        _buckets.clear()
+    return out
+
+
+def extend_buckets(records: List[Dict[str, Any]]) -> None:
+    """Fold bucket records captured in a dist worker back into this process."""
+    if not records:
+        return
+    with _lock:
+        _buckets.extend(BucketRecord(**r) for r in records)
 
 
 # -- summarization ----------------------------------------------------------

@@ -247,6 +247,7 @@ def render_entry(entry: Dict[str, Any]) -> str:
         lines.extend([
             "dist scheduler:",
             f"  tasks {scheduler.get('tasks', 0)}  "
+            f"chunks {scheduler.get('chunks', 0)}  "
             f"retries {scheduler.get('retries', 0)}  "
             f"steals {scheduler.get('steals', 0)}  "
             f"stragglers {scheduler.get('stragglers', 0)}  "

@@ -239,9 +239,6 @@ class GlobalRouter:
             )
         )
 
-    def usage_view(self, orient: str) -> np.ndarray:
-        return self._usage[orient].copy()
-
     # -- pattern routing ----------------------------------------------------
 
     def _monotone_candidates(self, a: Tile, b: Tile) -> List[List[Tile]]:

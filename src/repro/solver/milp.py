@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 LinExpr = Dict[str, float]
 
@@ -119,6 +117,11 @@ class MilpModel:
 
     def solve(self, time_limit: Optional[float] = None) -> MilpResult:
         """Run HiGHS; returns variable values (empty on infeasibility)."""
+        # scipy.optimize costs about half a second to import; only ILP
+        # solves pay it, not every process that imports the pipeline.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csr_matrix
+
         n = self.num_variables
         if n == 0:
             return MilpResult(status="optimal", objective=0.0, values={})

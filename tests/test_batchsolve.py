@@ -180,16 +180,29 @@ class TestBuckets:
 
 class TestEngineIdentity:
     def test_batch_seq_pool_digests_identical(self):
-        """The acceptance criterion: one digest across the Jacobi family."""
+        """The acceptance criterion: one digest across the Jacobi family.
+
+        dist ships its leaves as cost-banded chunks that each worker
+        solves with the batch kernel; the instance is big enough for at
+        least two chunks per worker, so leaves stack with different
+        neighbours than in the one-process batch run.
+        """
         digests = {}
-        for backend, workers in (("seq", 0), ("batch", 0), ("pool", 2)):
+        for backend, workers in (
+            ("seq", 0), ("batch", 0), ("pool", 2), ("dist", 2),
+        ):
             bench = fresh_bench()
             with CPLAEngine(
                 bench, fast_cpla(exec_backend=backend, workers=workers)
             ) as engine:
                 engine.run()
+                if backend == "dist":
+                    sched = engine._pool.stats_snapshot()
             digests[backend] = assignment_digest(bench)
         assert digests["batch"] == digests["seq"] == digests["pool"]
+        assert digests["dist"] == digests["seq"]
+        assert sched["chunks"] >= 2 * 2
+        assert sched["tasks"] > sched["chunks"]
 
     def test_warm_rerun_digests_identical(self):
         """Back-to-back runs reuse warm starts identically across backends.

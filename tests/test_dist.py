@@ -1,33 +1,52 @@
 """Distributed solve fabric tests: protocol, scheduling, faults, identity.
 
-The load-bearing property is *scheduling-independence*: the fabric ships
-each task's warm-start state from the coordinator's authoritative store,
-so any task->worker mapping — work stealing, retries after a crash, a
-speculative duplicate, a remote TCP worker — produces the bit-identical
-assignment.  The fault tests in :class:`TestFaultBitIdentity` assert the
-sha256 assignment digest of a faulted dist run equals a healthy pool run
-(not the Gauss-Seidel serial mode, which is a different — also valid —
-algorithm).
+The load-bearing property is *scheduling-independence*: a task is a chunk
+of leaves that ships each leaf's warm-start state from the coordinator's
+authoritative store, and the batch kernel that solves a chunk is
+slice-independent, so any banding and any chunk->worker mapping — work
+stealing, retries after a crash, a speculative duplicate, a remote TCP
+worker — produces the bit-identical assignment.  The fault tests in
+:class:`TestFaultBitIdentity` assert the sha256 assignment digest of a
+faulted dist run equals a healthy pool run (not the Gauss-Seidel serial
+mode, which is a different — also valid — algorithm).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Client, Listener
 
+import numpy as np
 import pytest
 
+from repro import cli
 from repro.core.engine import CPLAEngine, LeafSolvePool
+from repro.core.sdp_relaxation import SdpPartitionSolver
 from repro.dist import protocol
-from repro.dist.fabric import DistFabric, DistFabricConfig, task_cost
-from repro.dist.worker import FaultSpec, connect_and_serve, parse_fault_specs
+from repro.dist.fabric import (
+    CHUNKS_PER_WORKER,
+    DistFabric,
+    DistFabricConfig,
+    cost_bands,
+    task_cost,
+)
+from repro.dist.worker import (
+    FaultSpec,
+    connect_and_serve,
+    parse_fault_specs,
+    serve_connection,
+    solve_task,
+)
 from repro.ispd.request import AssignRequest, RequestError, assignment_digest
 from repro.ispd.synthetic import generate
-from repro.obs import metrics
+from repro.obs import convergence, metrics
 from repro.pipeline import prepare
 from tests.conftest import tiny_spec
 from tests.test_engine import fast_cpla
+from tests.test_partition_solvers import build_problem
 
 
 @pytest.fixture(autouse=True)
@@ -115,6 +134,84 @@ class TestProtocol:
             protocol.unpack_payload("!!! not base64 pickle !!!")
 
 
+_V1 = "repro.dist/v1"
+
+
+class TestVersionGuard:
+    """A peer of the one-leaf-per-task protocol is refused at its first
+    frame, never handed a chunk payload it would mis-unpack."""
+
+    def test_worker_refuses_a_v1_coordinator(self):
+        ours, theirs = multiprocessing.Pipe()
+        theirs.send_bytes(protocol.encode_frame({
+            "type": "init", "v": _V1,
+            "payload": protocol.pack_payload((StubSolver(), (False,) * 3)),
+        }))
+        with pytest.raises(protocol.ProtocolError, match="repro.dist/v1"):
+            serve_connection(ours, "w-new", worker_index=-1)
+        assert not theirs.poll(0.1), "the worker must not answer"
+
+    def test_dist_worker_cli_reports_the_mismatch(self, monkeypatch, capsys):
+        listener = Listener(("127.0.0.1", 0), authkey=b"test-secret")
+
+        def old_coordinator():
+            with listener.accept() as conn:
+                conn.send_bytes(protocol.encode_frame({
+                    "type": "init", "v": _V1,
+                    "payload": protocol.pack_payload(
+                        (StubSolver(), (False,) * 3)
+                    ),
+                }))
+                try:
+                    conn.recv_bytes()  # the worker hangs up, sends nothing
+                except EOFError:
+                    pass
+
+        server = threading.Thread(target=old_coordinator, daemon=True)
+        server.start()
+        host, port = listener.address
+        monkeypatch.setenv("REPRO_DIST_AUTHKEY", "test-secret")
+        try:
+            code = cli.main([
+                "dist-worker", "--connect", f"{host}:{port}",
+                "--retry-seconds", "0",
+            ])
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dist-worker:" in err and "repro.dist/v1" in err
+
+    def test_coordinator_drops_a_v1_worker(self):
+        config = DistFabricConfig(
+            listen=("127.0.0.1", 0), authkey=b"test-secret",
+            worker_wait_timeout=10.0,
+        )
+        with DistFabric(0, StubSolver(), config) as fabric:
+            fabric._ensure_started()
+            old = Client(fabric.listen_address, authkey=b"test-secret")
+            old.send_bytes(protocol.encode_frame(
+                {"type": "ready", "v": _V1, "worker": "old", "pid": 0}
+            ))
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                with fabric._accept_lock:
+                    if fabric._accepted:
+                        break
+                time.sleep(0.05)
+            # The only worker speaks v1: it is dropped, so the map has no
+            # worker left and hands the leaves back to the caller.
+            assert fabric.map([StubProblem(1)]) is None
+            assert fabric.stats["failures"] == 1
+            frames = []
+            with pytest.raises(EOFError):
+                while True:
+                    frames.append(protocol.decode_frame(old.recv_bytes()))
+            assert [f["type"] for f in frames] == ["init"]
+            old.close()
+
+
 class TestFaultSpecs:
     def test_parse(self):
         specs = parse_fault_specs("crash:0:2, hang:1:1, initfail:3")
@@ -157,7 +254,27 @@ class TestFabricScheduling:
             results = fabric.map(problems)
         assert results is not None
         assert [r for (r, _info), _tel in results] == [v * 2 for v in range(8)]
+        # ``tasks`` counts leaves; they travel in fewer chunk tasks.
         assert fabric.stats["tasks"] == 8
+        assert 1 <= fabric.stats["chunks"] <= 8
+
+    def test_chunk_count_follows_worker_count(self):
+        problems = [StubProblem(v, cost_hint=1 + v % 5) for v in range(60)]
+        with DistFabric(2, StubSolver()) as fabric:
+            results = fabric.map(problems)
+        assert [r for (r, _info), _tel in results] == [v * 2 for v in range(60)]
+        chunks = fabric.stats["chunks"]
+        assert 2 * 2 <= chunks <= 2 * CHUNKS_PER_WORKER * 2
+        assert fabric.stats["tasks"] == 60
+
+    def test_leaf_mask_solves_only_masked_leaves(self):
+        problems = [StubProblem(v) for v in range(10)]
+        with DistFabric(2, StubSolver()) as fabric:
+            results = fabric.map(problems, leaf_mask=[1, 4, 9])
+        assert [None if e is None else e[0][0] for e in results] == [
+            None, 2, None, None, 8, None, None, None, None, 18,
+        ]
+        assert fabric.stats["tasks"] == 3
 
     def test_empty_map(self):
         with DistFabric(1, StubSolver()) as fabric:
@@ -210,6 +327,104 @@ class TestFabricScheduling:
             assert [r for (r, _i), _t in results] == [v * 2 for v in range(6)]
         remote.join(timeout=10.0)
         assert not remote.is_alive()
+
+
+class TestCostBands:
+    def test_bands_cut_the_cost_order(self):
+        rng = np.random.default_rng(3)
+        costs = [float(c) for c in rng.integers(1, 40, size=97)]
+        bands = cost_bands(costs, 8)
+        order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+        assert [i for band in bands for i in band] == order
+        assert len(bands) <= 2 * 8
+        assert max(len(band) for band in bands) <= -(-97 // 8)
+
+    def test_balanced_by_cost_cubed(self):
+        bands = cost_bands([2.0] * 16, 4)
+        assert [len(band) for band in bands] == [4, 4, 4, 4]
+        # One leaf outweighing a share is a band of its own, and the rest
+        # still spread over the remaining bands.
+        bands = cost_bands([10.0] + [1.0] * 30, 4)
+        assert bands[0] == [0]
+        assert len(bands) >= 4
+
+    def test_degenerate_inputs(self):
+        assert cost_bands([], 4) == []
+        assert cost_bands([5.0], 4) == [[0]]
+        assert cost_bands([0.0, 0.0, 0.0], 1) == [[0, 1, 2]]
+
+
+# -- the chunk task body ------------------------------------------------------
+
+
+_NO_CAPTURE = (False, False, False)
+
+
+class TestChunkTaskBody:
+    @staticmethod
+    def _problems():
+        # Different net counts give distinct warm-store signatures.
+        return [build_problem(num_nets=n, seed=n)[1] for n in (1, 2, 3)]
+
+    @staticmethod
+    def _assert_same(expected, got):
+        for (x_ref, info_ref), ((x_values, info), _tel, _warm) in zip(
+            expected, got
+        ):
+            assert info.iterations == info_ref.iterations
+            for a, b in zip(x_ref, x_values):
+                np.testing.assert_array_equal(a, b)
+
+    def test_sdp_chunk_is_bitwise_the_per_leaf_solves(self):
+        problems = self._problems()
+        reference = SdpPartitionSolver()
+        solver = SdpPartitionSolver()
+        shipped = [None] * len(problems)
+        for _ in range(2):  # cold, then warm from the shipped state
+            expected = [reference.solve(p) for p in problems]
+            got = solve_task(solver, _NO_CAPTURE, list(zip(problems, shipped)))
+            self._assert_same(expected, got)
+            shipped = [warm for _r, _t, warm in got]
+            for problem, warm in zip(problems, shipped):
+                np.testing.assert_array_equal(
+                    warm, reference.export_warm(problem)
+                )
+            # Bounded worker state: the coordinator owns the warm store.
+            assert solver._warm == {}
+
+    def test_telemetry_shares_and_chunk_records(self):
+        problems = self._problems()
+        try:
+            got = solve_task(
+                SdpPartitionSolver(), (False, True, True),
+                [(p, None) for p in problems],
+            )
+        finally:
+            convergence.disable()
+        telemetry = [t for _r, t, _w in got]
+        # Chunk-level records ride on the first leaf only.
+        first = telemetry[0]
+        assert first.metrics["counters"]["batch.buckets"] >= 1
+        assert sum(b["members"] for b in first.buckets) == len(problems)
+        assert len(first.convergence) == len(problems)
+        assert all(
+            not (t.metrics or t.buckets or t.convergence) for t in telemetry[1:]
+        )
+        shares = [t.phases["solve"] for t in telemetry]
+        iterations = [info.iterations for (_x, info), _t, _w in got]
+        assert all(s > 0 for s in shares)
+        assert shares[0] / shares[1] == pytest.approx(
+            iterations[0] / iterations[1]
+        )
+
+    def test_other_solvers_go_leaf_by_leaf(self):
+        solver = WarmRecordingSolver()
+        got = solve_task(
+            solver, _NO_CAPTURE, [(StubProblem(1), "A"), (StubProblem(2), None)]
+        )
+        assert [r for r, _t, _w in got] == [((1, "A"), "info"), ((2, None), "info")]
+        assert [w for _r, _t, w in got] == ["X1", "X2"]
+        assert solver.store == {}
 
 
 # -- warm-start state ships with the task -------------------------------------
@@ -283,7 +498,7 @@ class TestFaultBitIdentity:
     def test_healthy_dist_matches_pool(self, pool_digest):
         digest, stats = _digest("dist")
         assert digest == pool_digest
-        assert stats["tasks"] > 0
+        assert stats["tasks"] > stats["chunks"] > 0
 
     def test_worker_crash_mid_task(self, pool_digest, monkeypatch):
         """SIGKILL mid-task: retried elsewhere, result bit-identical."""
@@ -291,6 +506,13 @@ class TestFaultBitIdentity:
         assert digest == pool_digest
         assert stats["retries"] >= 1
         assert stats["worker_restarts"] >= 1
+
+    def test_worker_crash_on_first_chunk(self, pool_digest, monkeypatch):
+        """The largest-leaf chunk is lost whole and re-solved whole."""
+        digest, stats = _digest("dist", fault="crash:0:1", monkeypatch=monkeypatch)
+        assert digest == pool_digest
+        assert stats["retries"] >= 1
+        assert stats["tasks"] > stats["chunks"]
 
     def test_worker_hang_past_timeout(self, pool_digest, monkeypatch):
         """A hang past task_timeout is reaped and re-dispatched.
@@ -336,8 +558,32 @@ class TestFaultBitIdentity:
         assert report.scheduler["backend"] == "dist"
         assert report.scheduler["tasks"] > 0
         assert set(report.scheduler) >= {
-            "retries", "steals", "stragglers", "worker_restarts", "utilization",
+            "chunks", "retries", "steals", "stragglers", "worker_restarts",
+            "utilization",
         }
+
+    def test_worker_batch_telemetry_rides_home(self):
+        """Bucket records and batch.* metrics of the workers' chunk solves
+        reach the parent, as they do for an in-process batch run."""
+        metrics.enable()
+        convergence.enable()
+        try:
+            bench = _fresh_bench()
+            with CPLAEngine(
+                bench, fast_cpla(workers=2, exec_backend="dist")
+            ) as engine:
+                report = engine.run()
+        finally:
+            convergence.disable()
+        counters = report.metrics["counters"]
+        assert counters["batch.buckets"] > 0
+        members = report.metrics["histograms"]["batch.bucket_members"]
+        assert members["count"] == counters["batch.buckets"]
+        buckets = report.convergence["buckets"]
+        assert len(buckets) == counters["batch.buckets"]
+        assert sum(b["members"] for b in buckets) == report.scheduler["tasks"]
+        summary = convergence.summarize(report.convergence)
+        assert "batch buckets" in convergence.summary_text(summary)
 
 
 # -- scheduler metrics through the Prometheus sanitizer -----------------------

@@ -3,8 +3,8 @@
 The load-bearing property is the **equivalence guarantee**: applying an
 edit history incrementally on a warm engine (re-solving only the dirty
 partition leaves) lands on the bit-identical assignment digest as a cold
-fresh-state replay of the same history — across the seq, pool, and batch
-execution backends, and for *random* edit sets (hypothesis).  The closure
+fresh-state replay of the same history — across the seq, pool, batch and
+dist execution backends, and for *random* edit sets (hypothesis).  The closure
 loop's Max(Tcp) monotonicity and the serve layer's stale-epoch 409 are
 pinned here too.
 """
@@ -182,6 +182,14 @@ class TestEquivalence:
         # leaf_mask restriction preserves the backends' bit-identity.
         assert _incremental_digest(SCRIPT, "pool", workers=2) == cold_seq
         assert _incremental_digest(SCRIPT, "batch") == cold_seq
+
+    def test_incremental_dist_matches_cold_replay(self):
+        """The leaf_mask edit path through dist chunks lands on the cold
+        replay's digest, like every other backend."""
+        cold_seq = cold_replay_digest(
+            BENCH, SCRIPT, scale=SCALE, critical_ratio=RATIO,
+        )
+        assert _incremental_digest(SCRIPT, "dist", workers=2) == cold_seq
 
     def test_single_net_edit_dirties_a_strict_subset(self):
         with _engine() as engine:

@@ -1,5 +1,9 @@
 """Tests for the HiGHS MILP wrapper."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,3 +96,30 @@ class TestSolving:
             m.set_objective({"y": 5.0})
             res = m.solve()
             assert res.value("y") == pytest.approx(float(want_a and want_b))
+
+
+class TestLazyImport:
+    def test_pipeline_import_leaves_scipy_optimize_unloaded(self):
+        """scipy.optimize is loaded by the first ILP solve, not at import."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        script = (
+            "import sys\n"
+            "import repro.pipeline\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from repro.solver.milp import MilpModel\n"
+            "m = MilpModel()\n"
+            "m.add_binary('x')\n"
+            "m.set_objective({'x': -1.0})\n"
+            "m.solve()\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
