@@ -11,12 +11,12 @@ Contract parity with the other backends:
 
 - warm starts read and advance the *same* parent-owned store on the
   :class:`~repro.core.sdp_relaxation.SdpPartitionSolver`, so a batch run
-  interleaves transparently with pool/dist/sequential runs of the same
+  interleaves transparently with dist/sequential runs of the same
   engine;
 - every member's result is finished through the scalar solver's
   :meth:`~repro.solver.sdp.ADMMSDPSolver.finish`, so the extracted layer
   weights — and therefore the sha256 assignment digests — are
-  bit-identical to a pool or ``--exec seq`` solve of the same snapshot;
+  bit-identical to a dist or ``--exec seq`` solve of the same snapshot;
 - per-solve metrics and convergence records are emitted per member, with
   bucket-level :class:`~repro.obs.convergence.BucketRecord` entries and
   ``batch.*`` counters layered on top.
@@ -61,7 +61,7 @@ class _Pending:
 class BatchLeafSolver:
     """Vectorized in-process leaf solver (engine backend ``batch``).
 
-    Satisfies the close() lifecycle of the engine's pool slot and exposes
+    Satisfies the close() lifecycle of the engine's backend slot and exposes
     :meth:`stats_snapshot` for the run report's scheduler channel, like
     the dist fabric does.
     """
@@ -91,7 +91,7 @@ class BatchLeafSolver:
             "frozen_fraction": 0.0,   # member-iterations saved by freezing
         }
 
-    # -- lifecycle (pool-slot contract) -----------------------------------
+    # -- lifecycle (backend-slot contract) --------------------------------
 
     def close(self) -> None:
         """Nothing to release — the backend is in-process."""
@@ -103,27 +103,21 @@ class BatchLeafSolver:
     # -- solving -----------------------------------------------------------
 
     def solve_many(
-        self, problems: Sequence[PartitionProblem], leaf_mask=None
+        self, problems: Sequence[PartitionProblem]
     ) -> List[Tuple[List[np.ndarray], SdpSolveInfo, float]]:
         """Solve every problem; returns (x_values, info, seconds) per input.
 
         Results are in input order.  ``seconds`` is the member's
         iteration-weighted share of its bucket's wall clock (the
         engine feeds it to the same leaf-latency histogram the other
-        backends fill).  ``leaf_mask`` (indices into ``problems``)
-        restricts the solve to a sparse leaf subset: masked-out positions
-        stay ``None`` in the output (the ECO path leaves clean leaves as
-        unextracted placeholders).
+        backends fill).
         """
         solver = self._solver
         admm = solver.admm
-        masked = set(leaf_mask) if leaf_mask is not None else None
         outputs: List[Optional[Tuple[List[np.ndarray], SdpSolveInfo, float]]]
         outputs = [None] * len(problems)
         pending: List[Tuple[int, _Pending]] = []
         for index, problem in enumerate(problems):
-            if masked is not None and index not in masked:
-                continue
             if problem.num_vars == 0:
                 outputs[index] = ([], SdpSolveInfo(0, 0, 0, True, 0.0, "empty"), 0.0)
                 continue

@@ -116,17 +116,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--workers", type=int, default=0,
-        help="solve partition leaves in a process pool; only the sdp/ilp "
-             "methods parallelize — ignored (with a warning) for tila/tila+flow",
+        help="with --exec dist/pool, solve partition leaves in this many "
+             "worker processes (> 1) from one common snapshot; only the "
+             "sdp/ilp methods parallelize — ignored (with a warning) for "
+             "tila/tila+flow",
     )
     p_run.add_argument(
         "--exec", dest="exec_backend", default="pool",
         choices=["pool", "dist", "batch", "seq"],
-        help="leaf-solve execution backend: 'pool' (static process pool), "
-             "'dist' (fault-tolerant work-stealing fabric), 'batch' "
-             "(in-process vectorized ADMM over shape-bucketed stacks; sdp "
-             "method only), or 'seq' (single-threaded reference); all four "
-             "produce bit-identical assignments at any --workers",
+        help="leaf-solve execution backend: 'dist' (fault-tolerant "
+             "work-stealing fabric of --workers processes; 'pool' is the "
+             "same backend), 'batch' (in-process vectorized ADMM over "
+             "shape-bucketed stacks; sdp method only), or 'seq' "
+             "(single-threaded reference).  batch, seq, and dist/pool with "
+             "--workers > 1 solve every leaf from one snapshot (Jacobi) and "
+             "give bit-identical assignments; dist/pool with --workers <= 1 "
+             "solves leaves in order, each seeing the layers of the ones "
+             "before it (Gauss-Seidel, the default)",
     )
     p_run.add_argument(
         "--dist-listen", default=None, metavar="HOST:PORT",

@@ -89,7 +89,7 @@ class SdpPartitionSolver:
     """Solves a :class:`PartitionProblem` through the SDP relaxation.
 
     The solver instance is long-lived (one per engine run; shipped once per
-    worker in pool mode) and keeps the relaxed ``X`` of every partition it
+    dist worker) and keeps the relaxed ``X`` of every partition it
     solved, keyed by the partition's variable signature, to warm-start the
     next solve of that same partition.
     """
@@ -104,7 +104,7 @@ class SdpPartitionSolver:
     #
     # ADMM's output depends on its warm start, so warm state must be a
     # function of the *task*, never of which worker happens to solve it —
-    # otherwise work stealing, retries, and pool scheduling would make the
+    # otherwise work stealing, retries, and chunk banding would make the
     # assignment timing-dependent.  The parallel backends therefore keep
     # the authoritative warm store on the parent's solver instance, ship
     # the X with each task via ``export_warm``, overwrite the worker-local

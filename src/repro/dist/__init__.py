@@ -1,9 +1,8 @@
 """Distributed solve fabric: fault-tolerant sharded leaf scheduling.
 
 The paper's quadruple partition makes every leaf an independent SDP (or
-ILP) solve; this package replaces the static chunked ``pool.map`` of
-:class:`~repro.core.engine.LeafSolvePool` with a coordinator/worker
-fabric that schedules leaves dynamically:
+ILP) solve; this package is the engine's multi-process leaf backend, a
+coordinator/worker fabric that schedules leaf chunks dynamically:
 
 - :mod:`repro.dist.protocol` — the length-prefixed JSON task protocol
   spoken over :mod:`multiprocessing.connection`, so the same fabric
@@ -20,8 +19,10 @@ fabric that schedules leaves dynamically:
   so the output stays bit-identical no matter which attempt lands).
 
 The fabric is selected per run with ``CPLAConfig.exec_backend = "dist"``
-(CLI: ``--exec dist``); scheduler counters surface as ``dist.*`` metrics
-and as the ``scheduler`` section of run-ledger entries.
+(or its spelling ``"pool"``; CLI: ``--exec dist``) and ``workers > 1``;
+with fewer workers the engine solves leaves in-process, Gauss-Seidel.
+Scheduler counters surface as ``dist.*`` metrics and as the
+``scheduler`` section of run-ledger entries.
 """
 
 from repro.dist.fabric import DistFabric, DistFabricConfig, task_cost

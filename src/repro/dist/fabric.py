@@ -1,9 +1,8 @@
 """The coordinator: dynamic, fault-tolerant scheduling of leaf solves.
 
-:class:`DistFabric` is a drop-in replacement for
-:class:`~repro.core.engine.LeafSolvePool` (same ``map``/``close``
-contract, same per-leaf ``(result, telemetry)`` item shape) that swaps the
-static ``pool.map`` for a scheduler of **chunk tasks**:
+:class:`DistFabric` is the engine's multi-process leaf backend: ``map``
+takes one group of leaf problems and returns a ``(result, telemetry)``
+item per leaf, in order, from a scheduler of **chunk tasks**:
 
 - **cost bands** — one map's leaves are sorted by an estimated cost
   (segment count x candidate-layer count, see :func:`task_cost`) and cut
@@ -38,15 +37,15 @@ results in leaf order, which is what keeps the engine's post-mapping
 (and therefore the final assignment digest) independent of scheduling.
 
 Catastrophic failure (a chunk exhausting its attempts, every worker lost,
-a protocol error) permanently downgrades the fabric exactly like a
-broken pool: ``map`` returns ``None``, the caller solves sequentially,
-and the failure is logged and counted (``engine.pool_failures`` plus
-``dist.failures``).
+a protocol error) permanently downgrades the fabric: ``map`` returns
+``None``, the engine solves the group in-process, and the failure is
+logged and counted (``engine.pool_failures`` plus ``dist.failures``).
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
 import heapq
 import itertools
 import multiprocessing
@@ -254,29 +253,15 @@ class DistFabric:
         }
         _LIVE_FABRICS.add(self)
 
-    # -- public API (the LeafSolvePool contract) --------------------------
+    # -- public API -------------------------------------------------------
 
-    def map(self, problems, leaf_mask=None) -> Optional[list]:
+    def map(self, problems) -> Optional[list]:
         """Solve the leaf problems; ``None`` means "do it yourself".
 
-        ``leaf_mask`` (indices into ``problems``) restricts the solve to a
-        sparse leaf subset: only the masked tasks are scheduled on the
-        fabric and masked-out positions come back as ``None`` — the ECO
-        path leaves clean leaves as unextracted placeholders.
+        Returns one ``(result, telemetry)`` per problem, in input order.
         """
         if self._broken or not problems:
             return None if self._broken else []
-        if leaf_mask is not None:
-            indices = list(leaf_mask)
-            if not indices:
-                return [None] * len(problems)
-            subset = self.map([problems[i] for i in indices])
-            if subset is None:
-                return None
-            results: list = [None] * len(problems)
-            for position, index in enumerate(indices):
-                results[index] = subset[position]
-            return results
         try:
             self._ensure_started()
             with tracer.span("dist.map", tasks=len(problems)):
@@ -315,10 +300,6 @@ class DistFabric:
                 pass
         self._started = False
 
-    # ``shutdown`` mirrors LeafSolvePool's legacy spelling.
-    def shutdown(self) -> None:
-        self.close()
-
     def __enter__(self) -> "DistFabric":
         return self
 
@@ -342,6 +323,12 @@ class DistFabric:
             tracer.is_enabled(), metrics.is_enabled(), convergence.is_enabled(),
         )
         self._init_payload = protocol.pack_payload((self._solver, capture))
+        # Forked workers share the parent's heap copy-on-write.  A full
+        # collection in the parent after the fork writes every tracked
+        # object's header and un-shares those pages (+10% tree memory on
+        # a scale-10 run); collecting now puts the next full collection
+        # far off, whatever the allocation history before this point.
+        gc.collect()
         for _ in range(self.workers):
             self._spawn_worker()
         if self.config.listen is not None:
@@ -495,7 +482,7 @@ class DistFabric:
                 results[leaf] = (result, telemetry)
                 new_warm[leaf] = warm
         # Advance the authoritative warm store in leaf order — the same
-        # order the sequential fallback and the pool backend would.
+        # order the in-process fallback would.
         if managed:
             for problem, warm in zip(problems, new_warm):
                 self._solver.import_warm(problem, warm)

@@ -4,8 +4,7 @@ A worker is a plain loop over :mod:`repro.dist.protocol` frames — it does
 not care whether its connection is an OS pipe (the in-process workers the
 coordinator spawns) or an authenticated TCP socket (``repro dist-worker
 --connect host:port``).  The first frame must be ``init``: it carries the
-pickled solver (shipped once, exactly like the pool initializer used to)
-plus the observability capture flags; the solver stays resident across
+pickled solver (shipped once per worker) plus the observability capture flags; the solver stays resident across
 tasks, while each task — a chunk of leaves — ships its leaves' ADMM
 warm-start state from the coordinator's authoritative store (see
 :func:`solve_task`) so results never depend on which worker serves which

@@ -26,7 +26,7 @@ Every step above is a deterministic function of the committed state and
 the edit list, shared verbatim between the incremental path and
 :func:`cold_replay_digest` (fresh prepare -> full solve -> same edit
 batches).  Combined with the repo's warm-rerun == fresh-run and
-seq/pool/dist/batch digest-identity invariants, an incremental ECO apply
+seq/dist/batch digest-identity invariants, an incremental ECO apply
 on a warm resident produces the bit-identical ``sha256`` assignment
 digest a cold fresh-state replay does — pinned by tests/test_eco.py and
 gated by the ``eco-smoke`` CI job.

@@ -209,8 +209,8 @@ class Gateway:
 
     async def _probe(self, shard: ShardState) -> None:
         try:
-            status, _headers, _blob = await self._exchange(
-                shard.address, "GET", "/readyz", b"", {},
+            status, _headers, _blob = await http.exchange(
+                shard.address, "GET", "/readyz",
                 timeout=self.config.connect_timeout_seconds,
             )
             live = status == 200
@@ -222,54 +222,6 @@ class Gateway:
             )
             metrics.inc("fleet.shard_up" if live else "fleet.shard_down")
         shard.live = live
-
-    # -- HTTP client ------------------------------------------------------
-
-    async def _exchange(
-        self,
-        address: Address,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: Dict[str, str],
-        timeout: Optional[float] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One upstream HTTP exchange; returns (status, headers, raw body)."""
-        timeout = timeout or self.config.request_timeout_seconds
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*address),
-            timeout=self.config.connect_timeout_seconds,
-        )
-        try:
-            extra = "".join(f"{k}: {v}\r\n" for k, v in headers.items())
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {address[0]}:{address[1]}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                + extra
-                + "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("latin-1") + body)
-            await writer.drain()
-            header_blob = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=timeout
-            )
-            lines = header_blob[:-4].decode("latin-1").split("\r\n")
-            status = int(lines[0].split(" ", 2)[1])
-            resp_headers: Dict[str, str] = {}
-            for line in lines[1:]:
-                if ":" in line:
-                    key, value = line.split(":", 1)
-                    resp_headers[key.strip().lower()] = value.strip()
-            length = int(resp_headers.get("content-length", "0") or "0")
-            blob = (
-                await asyncio.wait_for(reader.readexactly(length), timeout=timeout)
-                if length else b""
-            )
-            return status, resp_headers, blob
-        finally:
-            writer.close()
 
     # -- connection handling ----------------------------------------------
 
@@ -432,8 +384,10 @@ class Gateway:
             finally:
                 shard.waiters -= 1
             try:
-                status, resp_headers, blob = await self._exchange(
-                    shard.address, "POST", path, body, hop_headers
+                status, resp_headers, blob = await http.exchange(
+                    shard.address, "POST", path, body, hop_headers,
+                    timeout=self.config.request_timeout_seconds,
+                    connect_timeout=self.config.connect_timeout_seconds,
                 )
             except _FAILOVER_ERRORS as exc:
                 # The shard never answered: mark it dead and fail over to

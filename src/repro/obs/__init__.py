@@ -18,7 +18,7 @@ Five modules:
 - :mod:`repro.obs.ledger` — the append-only JSON-lines run ledger and the
   diff/regression-check logic behind ``repro obs``;
 - :mod:`repro.obs.collect` — merges traces/metrics/convergence
-  records/wall-clock phases returned from ``ProcessPoolExecutor`` workers
+  records/wall-clock phases returned from dist worker processes
   back into the parent process (per-leaf telemetry from Jacobi-mode solves
   would otherwise be lost with the worker process).
 

@@ -1,7 +1,7 @@
 """Bring worker-process telemetry back into the parent.
 
-With ``workers > 1`` the engine solves leaves in a ``ProcessPoolExecutor``:
-every span, metric, and wall-clock phase recorded inside the worker lives
+With ``--exec dist`` and ``workers > 1`` the engine solves leaves in dist
+fabric worker processes: every span, metric, and wall-clock phase recorded inside the worker lives
 in the *worker's* memory and dies with it unless shipped home.  The
 protocol is:
 

@@ -6,7 +6,7 @@ The recorder answers "why did this run converge slowly?" at two levels:
   itself: one record per :meth:`~repro.solver.sdp.ADMMSDPSolver.solve` with
   the residual/objective samples taken at each ``check_every`` boundary,
   the projection wall-clock, and the warm/cold start disposition.  Records
-  made inside pool workers ride home in the
+  made inside dist workers ride home in the
   :class:`~repro.obs.collect.WorkerTelemetry` payload;
 - **partition records** (:class:`PartitionRecord`) — written by the engine
   in the parent process: one record per partition leaf per engine
@@ -151,7 +151,7 @@ def snapshot() -> Dict[str, List[Dict[str, Any]]]:
 
     The ``buckets`` key appears only when the batch kernel recorded
     kernel calls (``--exec batch`` and ``--exec dist`` with the SDP
-    method), so pool/sequential snapshots keep their shape.
+    method), so in-process per-leaf snapshots keep their shape.
     """
     with _lock:
         out = {

@@ -347,7 +347,7 @@ _DIFF_FIELDS = (
     ("solver iterations p90", ("convergence", "solves", "iterations", "p90")),
     ("non-converged partitions", ("convergence", "partitions", "nonconverged")),
     ("overflow events", ("convergence", "partitions", "overflow_events")),
-    # Dist-fabric runs (``--exec dist``): absent from pool/sequential runs.
+    # Dist-fabric runs (``--exec dist``): absent from in-process runs.
     ("dist retries", ("scheduler", "retries")),
     ("dist steals", ("scheduler", "steals")),
     ("dist stragglers", ("scheduler", "stragglers")),

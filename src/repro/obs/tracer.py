@@ -5,14 +5,14 @@ pid)``.  Nesting is tracked per thread: entering a span pushes it on a
 thread-local stack, so a span opened while another is active records that
 span as its parent.  Span ids are 16 hex characters embedding the process
 id and a per-process sequence (``"%08x%08x" % (pid, seq)``), which makes
-ids from ``ProcessPoolExecutor`` workers collision-free when their buffers
+ids from dist worker processes collision-free when their buffers
 are merged back into the parent (:mod:`repro.obs.collect`) and keeps them
 valid W3C ``traceparent`` parent-ids.
 
 Cross-process propagation uses an explicit :class:`TraceContext` — a
 W3C-style ``(trace_id, span_id)`` pair.  The serving tier derives one per
 HTTP request (from an incoming ``traceparent`` header or freshly minted),
-ships it over the dist wire protocol / pool task payloads, and the worker
+ships it over the dist wire protocol, and the worker
 :func:`attach`-es it so its first span parents under the remote caller:
 
     ctx = tracer.current_context()          # coordinator, inside a span
@@ -79,7 +79,7 @@ class TraceContext:
         )
 
     def to_dict(self) -> Dict[str, Optional[str]]:
-        """Wire form for dist frames / pool payloads."""
+        """Wire form for dist frames."""
         return {"trace_id": self.trace_id, "span_id": self.span_id}
 
     @classmethod
@@ -138,7 +138,7 @@ def is_enabled() -> bool:
 def reset() -> None:
     """Clear the span buffer and every thread's nesting state.
 
-    Also the first thing a long-lived pool/dist worker does before each
+    Also the first thing a long-lived dist worker does before each
     task: with the ``fork`` start method the child inherits the parent's
     buffer, and without a reset the parent's spans would be returned
     (duplicated) in the worker payload.

@@ -81,7 +81,7 @@ def run_method(
             config = cpla_config or CPLAConfig()
             config.method = method
             config.critical_ratio = critical_ratio
-            # One-shot call: close the engine (and its worker pool) when
+            # One-shot call: close the engine (and its dist workers) when
             # done.  Callers wanting a resident, reusable engine construct
             # CPLAEngine directly (see repro.service.resident).
             with CPLAEngine(bench, config, timing_config) as engine:

@@ -36,6 +36,16 @@ class HttpError(Exception):
         self.status = status
 
 
+def _parse_headers(lines) -> Dict[str, str]:
+    """``Name: value`` lines -> dict with lower-cased names."""
+    headers: Dict[str, str] = {}
+    for line in lines:
+        if ":" in line:
+            key, value = line.split(":", 1)
+            headers[key.strip().lower()] = value.strip()
+    return headers
+
+
 async def read_request(
     reader: asyncio.StreamReader,
     max_body_bytes: int,
@@ -44,11 +54,14 @@ async def read_request(
     """Parse one request; returns ``(method, path, headers, body)``.
 
     Header names are lower-cased; the query string is stripped from the
-    path.  Raises :class:`HttpError` for anything refusable (the caller
-    answers with the error status) and lets connection-level exceptions
-    (``IncompleteReadError``, ``TimeoutError``, ...) propagate — those
-    mean there is no client left to answer.
+    path.  ``header_timeout_seconds`` bounds the whole read, head and
+    body together: a client that stalls anywhere gets a 408.  Raises
+    :class:`HttpError` for anything refusable (the caller answers with
+    the error status) and lets connection-level exceptions
+    (``IncompleteReadError``, ...) propagate — those mean there is no
+    client left to answer.
     """
+    deadline = asyncio.get_running_loop().time() + header_timeout_seconds
     try:
         head = await asyncio.wait_for(
             reader.readuntil(b"\r\n\r\n"), timeout=header_timeout_seconds
@@ -62,11 +75,7 @@ async def read_request(
         method, path, _version = request_line.split(" ", 2)
     except ValueError:
         raise HttpError(400, "malformed request line")
-    headers: Dict[str, str] = {}
-    for line in header_lines:
-        if ":" in line:
-            key, value = line.split(":", 1)
-            headers[key.strip().lower()] = value.strip()
+    headers = _parse_headers(header_lines)
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -76,7 +85,15 @@ async def read_request(
         raise HttpError(
             413, f"body of {length} bytes exceeds {max_body_bytes}"
         )
-    body = await reader.readexactly(length) if length else b""
+    body = b""
+    if length:
+        remaining = deadline - asyncio.get_running_loop().time()
+        try:
+            body = await asyncio.wait_for(
+                reader.readexactly(length), timeout=max(remaining, 0.0)
+            )
+        except asyncio.TimeoutError:
+            raise HttpError(408, "timed out reading request body")
     return method, path.split("?", 1)[0], headers, body
 
 
@@ -120,3 +137,55 @@ async def respond_raw(
     except ConnectionError:  # client went away mid-response
         pass
     writer.close()
+
+
+async def exchange(
+    address: Tuple[str, int],
+    method: str,
+    path: str,
+    body: bytes = b"",
+    headers: Optional[Dict[str, str]] = None,
+    timeout: float = 300.0,
+    connect_timeout: Optional[float] = None,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """One client exchange; returns ``(status, headers, raw body)``.
+
+    Response header names are lower-cased.  ``timeout`` bounds each read
+    and ``connect_timeout`` (default: ``timeout``) the connect.  Reads
+    the head, then exactly ``Content-Length`` body bytes — never to EOF:
+    solver worker processes forked mid-request inherit the server's
+    accepted socket, so the connection only sees FIN when those
+    long-lived workers exit, and read-to-EOF would hang.
+    """
+    reader, writer = await asyncio.wait_for(
+        asyncio.open_connection(*address),
+        timeout=timeout if connect_timeout is None else connect_timeout,
+    )
+    try:
+        extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items())
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {address[0]}:{address[1]}\r\n"
+            f"Content-Type: {JSON_CONTENT_TYPE}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + extra
+            + "Connection: close\r\n\r\n"
+        )
+        writer.write(head.encode("latin-1") + body)
+        await writer.drain()
+        header_blob = await asyncio.wait_for(
+            reader.readuntil(b"\r\n\r\n"), timeout=timeout
+        )
+        status_line, *header_lines = (
+            header_blob[:-4].decode("latin-1").split("\r\n")
+        )
+        status = int(status_line.split(" ", 2)[1])
+        resp_headers = _parse_headers(header_lines)
+        length = int(resp_headers.get("content-length", "0") or "0")
+        blob = (
+            await asyncio.wait_for(reader.readexactly(length), timeout=timeout)
+            if length else b""
+        )
+        return status, resp_headers, blob
+    finally:
+        writer.close()

@@ -5,7 +5,7 @@ one (``--url``) or a private in-process instance spun up on an ephemeral
 port — in three phases:
 
 1. **cold**: one request against the empty server; measures the
-   first-request latency (engine build: routing + pool spawn + cold ADMM);
+   first-request latency (engine build: routing + worker spawn + cold ADMM);
 2. **warm**: a few sequential requests; their median is the resident
    warm-path latency, and ``warm_speedup = cold / warm`` is the number the
    CI gate watches — it proves the resident state is actually reused;
@@ -41,6 +41,7 @@ from repro.ispd.request import (
 )
 from repro.obs import ledger as run_ledger
 from repro.obs import tracer
+from repro.service import http
 from repro.service.server import AssignServer, ServeConfig
 from repro.utils import get_logger
 
@@ -61,52 +62,15 @@ async def http_request(
 ) -> Tuple[int, Any]:
     """One HTTP/1.1 exchange; returns (status, parsed JSON or text).
 
-    ``headers`` adds extra request headers — e.g. ``traceparent`` to join
-    the request to a caller-side trace.
+    ``body`` is sent as JSON.  ``headers`` adds extra request headers —
+    e.g. ``traceparent`` to join the request to a caller-side trace.
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout=timeout
+    blob = json.dumps(body).encode("utf-8") if body is not None else b""
+    status, resp_headers, payload = await http.exchange(
+        (host, port), method, path, blob, headers, timeout=timeout,
     )
-    try:
-        blob = json.dumps(body).encode("utf-8") if body is not None else b""
-        extra = "".join(
-            f"{key}: {value}\r\n" for key, value in (headers or {}).items()
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(blob)}\r\n"
-            + extra
-            + "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + blob)
-        await writer.drain()
-        # Read headers, then exactly Content-Length body bytes.  Never read
-        # to EOF: solver worker processes forked mid-request inherit the
-        # server's accepted socket, so the connection only sees FIN when
-        # those (long-lived) workers exit — read-to-EOF would hang forever.
-        header_blob = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=timeout
-        )
-        header_blob = header_blob[:-4]
-        length = 0
-        for line in header_blob.decode("latin-1").split("\r\n")[1:]:
-            if line.lower().startswith("content-length:"):
-                length = int(line.split(":", 1)[1].strip())
-        payload = (
-            await asyncio.wait_for(reader.readexactly(length), timeout=timeout)
-            if length else b""
-        )
-    finally:
-        writer.close()
-    lines = header_blob.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ", 2)[1])
     text = payload.decode("utf-8", errors="replace")
-    content_type = ""
-    for line in lines[1:]:
-        if line.lower().startswith("content-type:"):
-            content_type = line.split(":", 1)[1].strip()
+    content_type = resp_headers.get("content-type", "")
     if content_type.startswith("application/json") and text.strip():
         return status, json.loads(text)
     return status, text

@@ -197,7 +197,7 @@ class TestEngineIdentity:
             ) as engine:
                 engine.run()
                 if backend == "dist":
-                    sched = engine._pool.stats_snapshot()
+                    sched = engine._backend.stats_snapshot()
             digests[backend] = assignment_digest(bench)
         assert digests["batch"] == digests["seq"] == digests["pool"]
         assert digests["dist"] == digests["seq"]

@@ -7,12 +7,22 @@ harness relies on for cacheing paired comparisons.
 
 from repro.core.engine import CPLAConfig, CPLAEngine
 from repro.core.sdp_relaxation import SdpRelaxationConfig
+from repro.ispd.request import assignment_digest
 from repro.ispd.synthetic import generate
 from repro.pipeline import prepare
 from repro.solver.sdp import SDPSettings
 from repro.tila.engine import TILAConfig, TILAEngine
 
 from tests.conftest import tiny_spec
+
+# assignment_digest of the tiny benchmark under the configuration of
+# test_exec_backend_family_bit_identical, one per leaf schedule.
+GAUSS_SEIDEL = (
+    "sha256:76abccd6e07d1c065744f91d497287e2a9311df76922fbcd272d24dd6702a944"
+)
+JACOBI = (
+    "sha256:84f3dca7d12bb1ec3034460e138e666b06c52eabe9caba7ee2b658ed9832229f"
+)
 
 
 def layer_signature(bench):
@@ -62,12 +72,16 @@ class TestDeterminism:
         assert layer_signature(a) != layer_signature(b)
 
     def test_exec_backend_family_bit_identical(self):
-        """seq, batch, and pool are one digest family at any worker count.
+        """Pinned digests of the two leaf schedules on the tiny benchmark.
 
-        The batched backend stacks mixed-shape leaves into shape buckets
-        (the tiny benchmark produces several distinct matrix orders per
-        iteration), so this also exercises bucketing + lockstep freezing
-        end to end.
+        Gauss-Seidel (the default, and dist at one worker) solves leaves
+        in order, each seeing earlier leaves' boundary layers.  The
+        Jacobi family -- seq, batch, dist at two workers, and the
+        ``pool`` spelling of dist -- solves every leaf from one common
+        snapshot and must agree bit for bit.  The batched backend stacks
+        mixed-shape leaves into shape buckets (the tiny benchmark gives
+        several matrix orders per iteration), so this also exercises
+        bucketing and lockstep freezing end to end.
         """
         cfg = dict(
             method="sdp",
@@ -78,13 +92,19 @@ class TestDeterminism:
                 settings=SDPSettings(tolerance=5e-4, max_iterations=400)
             ),
         )
-        signatures = {}
-        for backend, workers in (("seq", 0), ("batch", 0), ("pool", 2)):
+        digests = {}
+        for backend, workers in (
+            ("default", 0), ("dist", 1),
+            ("seq", 0), ("batch", 0), ("dist", 2), ("pool", 2),
+        ):
             bench = prepare(generate(tiny_spec()))
-            with CPLAEngine(
-                bench,
-                CPLAConfig(exec_backend=backend, workers=workers, **cfg),
-            ) as engine:
+            config = (
+                CPLAConfig(**cfg) if backend == "default"
+                else CPLAConfig(exec_backend=backend, workers=workers, **cfg)
+            )
+            with CPLAEngine(bench, config) as engine:
                 engine.run()
-            signatures[backend] = layer_signature(bench)
-        assert signatures["seq"] == signatures["batch"] == signatures["pool"]
+            digests[(backend, workers)] = assignment_digest(bench)
+        assert digests[("default", 0)] == digests[("dist", 1)] == GAUSS_SEIDEL
+        for key in (("seq", 0), ("batch", 0), ("dist", 2), ("pool", 2)):
+            assert digests[key] == JACOBI, key

@@ -7,8 +7,9 @@ slice-independent, so any banding and any chunk->worker mapping — work
 stealing, retries after a crash, a speculative duplicate, a remote TCP
 worker — produces the bit-identical assignment.  The fault tests in
 :class:`TestFaultBitIdentity` assert the sha256 assignment digest of a
-faulted dist run equals a healthy pool run (not the Gauss-Seidel serial
-mode, which is a different — also valid — algorithm).
+faulted dist run equals a healthy ``--exec seq`` run, the Jacobi family's
+in-process reference (not the Gauss-Seidel serial mode, which is a
+different — also valid — algorithm).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.core.engine import CPLAEngine, LeafSolvePool
+from repro.core.engine import CPLAEngine
 from repro.core.sdp_relaxation import SdpPartitionSolver
 from repro.dist import protocol
 from repro.dist.fabric import (
@@ -68,8 +69,8 @@ def _digest(exec_backend, fault=None, monkeypatch=None, dist=None, workers=2):
     with CPLAEngine(bench, config) as engine:
         engine.run()
         stats = (
-            engine._pool.stats_snapshot()
-            if isinstance(engine._pool, DistFabric)
+            engine._backend.stats_snapshot()
+            if isinstance(engine._backend, DistFabric)
             else None
         )
     return assignment_digest(bench), stats
@@ -267,15 +268,6 @@ class TestFabricScheduling:
         assert 2 * 2 <= chunks <= 2 * CHUNKS_PER_WORKER * 2
         assert fabric.stats["tasks"] == 60
 
-    def test_leaf_mask_solves_only_masked_leaves(self):
-        problems = [StubProblem(v) for v in range(10)]
-        with DistFabric(2, StubSolver()) as fabric:
-            results = fabric.map(problems, leaf_mask=[1, 4, 9])
-        assert [None if e is None else e[0][0] for e in results] == [
-            None, 2, None, None, 8, None, None, None, None, 18,
-        ]
-        assert fabric.stats["tasks"] == 3
-
     def test_empty_map(self):
         with DistFabric(1, StubSolver()) as fabric:
             assert fabric.map([]) == []
@@ -472,49 +464,39 @@ class TestWarmStateOwnership:
         # ... and map 2's solves (wherever they ran) saw exactly that state.
         assert [r for (r, _i), _t in second] == [(v, f"X{v}") for v in range(3)]
 
-    def test_pool_backend_same_contract(self):
-        solver = WarmRecordingSolver()
-        problems = [StubProblem(v) for v in range(3)]
-        with LeafSolvePool(2, solver) as pool:
-            first = pool.map(problems)
-            second = pool.map(problems)
-        assert [r for (r, _i), _t in first] == [(v, None) for v in range(3)]
-        assert solver.store == {0: "X0", 1: "X1", 2: "X2"}
-        assert [r for (r, _i), _t in second] == [(v, f"X{v}") for v in range(3)]
-
 
 # -- bit-identity under faults (the acceptance criterion) ---------------------
 
 
 @pytest.fixture(scope="module")
-def pool_digest():
+def seq_digest():
     bench = _fresh_bench()
-    with CPLAEngine(bench, fast_cpla(workers=2, exec_backend="pool")) as engine:
+    with CPLAEngine(bench, fast_cpla(exec_backend="seq")) as engine:
         engine.run()
     return assignment_digest(bench)
 
 
 class TestFaultBitIdentity:
-    def test_healthy_dist_matches_pool(self, pool_digest):
+    def test_healthy_dist_matches_seq(self, seq_digest):
         digest, stats = _digest("dist")
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["tasks"] > stats["chunks"] > 0
 
-    def test_worker_crash_mid_task(self, pool_digest, monkeypatch):
+    def test_worker_crash_mid_task(self, seq_digest, monkeypatch):
         """SIGKILL mid-task: retried elsewhere, result bit-identical."""
         digest, stats = _digest("dist", fault="crash:0:2", monkeypatch=monkeypatch)
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["retries"] >= 1
         assert stats["worker_restarts"] >= 1
 
-    def test_worker_crash_on_first_chunk(self, pool_digest, monkeypatch):
+    def test_worker_crash_on_first_chunk(self, seq_digest, monkeypatch):
         """The largest-leaf chunk is lost whole and re-solved whole."""
         digest, stats = _digest("dist", fault="crash:0:1", monkeypatch=monkeypatch)
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["retries"] >= 1
         assert stats["tasks"] > stats["chunks"]
 
-    def test_worker_hang_past_timeout(self, pool_digest, monkeypatch):
+    def test_worker_hang_past_timeout(self, seq_digest, monkeypatch):
         """A hang past task_timeout is reaped and re-dispatched.
 
         Speculation is pushed out of reach so the timeout path itself is
@@ -527,10 +509,10 @@ class TestFaultBitIdentity:
                 task_timeout=1.5, straggler_min_seconds=600.0
             ),
         )
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["retries"] >= 1
 
-    def test_straggler_speculation_rescues_hang(self, pool_digest, monkeypatch):
+    def test_straggler_speculation_rescues_hang(self, seq_digest, monkeypatch):
         """With a long task_timeout the speculative duplicate wins."""
         digest, stats = _digest(
             "dist", fault="hang:0:1", monkeypatch=monkeypatch,
@@ -540,15 +522,15 @@ class TestFaultBitIdentity:
                 straggler_factor=2.0,
             ),
         )
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["stragglers"] >= 1
 
-    def test_initializer_failure(self, pool_digest, monkeypatch):
+    def test_initializer_failure(self, seq_digest, monkeypatch):
         """A poisoned worker is replaced; the survivors finish the map."""
         digest, stats = _digest(
             "dist", fault="initfail:0", monkeypatch=monkeypatch
         )
-        assert digest == pool_digest
+        assert digest == seq_digest
         assert stats["worker_restarts"] >= 1
 
     def test_scheduler_section_reaches_report(self):
@@ -654,15 +636,3 @@ class TestLedgerScheduler:
         rendered = run_ledger.render_entry(entry)
         assert "dist scheduler:" in rendered
         assert "retries" in rendered
-
-
-# -- legacy pool scheduling ---------------------------------------------------
-
-
-class TestLeafSolvePoolOrdering:
-    def test_largest_first_preserves_input_order(self):
-        problems = [StubProblem(v, cost_hint=v) for v in range(6)]
-        with LeafSolvePool(2, StubSolver()) as pool:
-            results = pool.map(problems)
-        assert results is not None
-        assert [r for (r, _i), _t in results] == [v * 2 for v in range(6)]

@@ -178,13 +178,13 @@ class TestEquivalence:
             BENCH, SCRIPT, scale=SCALE, critical_ratio=RATIO,
         )
         assert _incremental_digest(SCRIPT) == cold_seq
-        # pool and batch must land on the same digest: the ECO path's
-        # leaf_mask restriction preserves the backends' bit-identity.
+        # pool and batch must land on the same digest: solving only the
+        # dirty leaves preserves the backends' bit-identity.
         assert _incremental_digest(SCRIPT, "pool", workers=2) == cold_seq
         assert _incremental_digest(SCRIPT, "batch") == cold_seq
 
     def test_incremental_dist_matches_cold_replay(self):
-        """The leaf_mask edit path through dist chunks lands on the cold
+        """The dirty-leaf edit path through dist chunks lands on the cold
         replay's digest, like every other backend."""
         cold_seq = cold_replay_digest(
             BENCH, SCRIPT, scale=SCALE, critical_ratio=RATIO,

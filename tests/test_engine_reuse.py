@@ -1,30 +1,34 @@
-"""Engine and pool lifecycle tests: reuse, close semantics, failure fallback.
+"""Engine and backend lifecycle tests: reuse, close semantics, failure fallback.
 
 The serving layer keeps one :class:`~repro.core.engine.CPLAEngine` resident
 per problem signature and reruns it for every request, so the engine's
 reuse contract is load-bearing:
 
-- a rewound rerun on a warm engine (live pool, populated ADMM warm-start
-  and Elmore caches) must produce the **bit-identical** assignment a fresh
-  engine would;
-- a failing worker initializer must downgrade the pool to the sequential
-  fallback — counted in ``engine.pool_failures`` — without changing the
-  result (the fallback solves the identically-extracted Jacobi problems);
-- pools and engines are context managers with idempotent ``close``, and
-  leaked pools are reaped by the module's ``atexit`` guard.
+- a rewound rerun on a warm engine (live dist workers, populated ADMM
+  warm-start and Elmore caches) must produce the **bit-identical**
+  assignment a fresh engine would;
+- a dist fabric whose every worker fails its initializer must downgrade
+  to in-process solving — counted in ``engine.pool_failures`` — without
+  changing the result (the fallback solves the identically-extracted
+  Jacobi problems);
+- the fabric (the worker pool of ``exec=dist``, spelled ``pool`` too) and
+  the engine are context managers with idempotent ``close``, and leaked
+  fabrics are reaped by the module's ``atexit`` guard.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.engine as engine_mod
-from repro.core.engine import CPLAEngine, LeafSolvePool
+import repro.dist.fabric as fabric_mod
+from repro.core.engine import CPLAEngine
+from repro.dist.fabric import DistFabric, DistFabricConfig
 from repro.ispd.request import assignment_digest
 from repro.ispd.synthetic import generate
 from repro.obs import metrics
 from repro.pipeline import prepare
 from tests.conftest import tiny_spec
+from tests.test_dist import StubProblem, StubSolver
 from tests.test_engine import fast_cpla
 
 
@@ -39,37 +43,45 @@ def _fresh_bench():
     return prepare(generate(tiny_spec()))
 
 
+def _live_processes(fabric):
+    return [
+        w.process for w in fabric._workers.values()
+        if w.process is not None and w.process.is_alive()
+    ]
+
+
 class TestPoolFailureFallback:
     def test_failing_initializer_downgrades_and_preserves_result(
         self, monkeypatch
     ):
-        """A poisoned worker initializer must not change the answer.
+        """A fabric with no worker left must not change the answer.
 
-        The fallback solves the already-extracted Jacobi problems inline,
-        so the run with a broken pool is bit-identical to a healthy
-        parallel run (not to the Gauss-Seidel serial mode, which is a
+        The fallback solves the already-extracted Jacobi group in-process,
+        so the run with a broken fabric is bit-identical to a healthy
+        Jacobi run (not to the Gauss-Seidel serial mode, which is a
         different — also valid — algorithm).
         """
         metrics.enable()
-
-        def poisoned_initializer(*_args):
-            raise RuntimeError("injected initializer failure")
-
-        monkeypatch.setattr(
-            engine_mod, "_pool_initializer", poisoned_initializer
-        )
+        monkeypatch.setenv("REPRO_DIST_FAULT", "initfail:0,initfail:1")
         broken_bench = _fresh_bench()
-        with CPLAEngine(broken_bench, fast_cpla(workers=2)) as engine:
+        config = fast_cpla(
+            workers=2, exec_backend="dist",
+            dist=DistFabricConfig(
+                max_worker_restarts=0, worker_wait_timeout=5.0
+            ),
+        )
+        with CPLAEngine(broken_bench, config) as engine:
             report = engine.run()
         broken_digest = assignment_digest(broken_bench)
 
         counters = metrics.registry().as_dict()["counters"]
         assert counters["engine.pool_failures"] == 1
+        assert report.scheduler["failures"] == 1
         assert report.final_avg_tcp <= report.initial_avg_tcp
 
         monkeypatch.undo()
         healthy_bench = _fresh_bench()
-        with CPLAEngine(healthy_bench, fast_cpla(workers=2)) as engine:
+        with CPLAEngine(healthy_bench, fast_cpla(exec_backend="seq")) as engine:
             engine.run()
         assert broken_digest == assignment_digest(healthy_bench)
 
@@ -104,55 +116,55 @@ class TestEngineReuse:
             engine.run()
         assert assignment_digest(fresh_bench) == first_digest
 
-    def test_pool_survives_between_runs(self):
-        """run() must no longer tear the pool down; close() must."""
+    def test_backend_survives_between_runs(self):
+        """run() must not tear the dist workers down; close() must."""
         bench = _fresh_bench()
-        engine = CPLAEngine(bench, fast_cpla(workers=2))
+        engine = CPLAEngine(bench, fast_cpla(workers=2, exec_backend="dist"))
         baseline = engine.snapshot_layers()
         engine.run()
-        assert engine._pool is not None
-        assert engine._pool._pool is not None  # executor still alive
+        fabric = engine._backend
+        assert isinstance(fabric, DistFabric)
+        workers = _live_processes(fabric)
+        assert len(workers) == 2
 
         engine.restore_layers(baseline)
-        engine.run()  # reuses the same pool rather than respawning
+        engine.run()  # reuses the same fabric rather than respawning
+        assert engine._backend is fabric
+        assert _live_processes(fabric) == workers
 
         engine.close()
-        assert engine._pool is None
+        assert engine._backend is None
+        assert _live_processes(fabric) == []
         engine.close()  # idempotent
-
-
-class _RecordingExecutor:
-    def __init__(self):
-        self.shutdowns = 0
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdowns += 1
 
 
 class TestPoolLifecycle:
     def test_pool_context_manager_and_idempotent_close(self):
-        with LeafSolvePool(2, solver=None) as pool:
-            executor = _RecordingExecutor()
-            pool._pool = executor
-        assert executor.shutdowns == 1
-        assert pool._pool is None
-        pool.close()
-        assert executor.shutdowns == 1  # close after close is a no-op
+        with DistFabric(2, StubSolver()) as fabric:
+            assert fabric.map([StubProblem(1)]) is not None
+            workers = _live_processes(fabric)
+            assert workers
+        assert _live_processes(fabric) == []
+        assert all(not p.is_alive() for p in workers)
+        fabric.close()  # close after close is a no-op
 
     def test_atexit_guard_reaps_leaked_pools(self):
-        pool = LeafSolvePool(2, solver=None)
-        assert pool in engine_mod._LIVE_POOLS
-        executor = _RecordingExecutor()
-        pool._pool = executor
-        engine_mod._close_leaked_pools()
-        assert executor.shutdowns == 1
-        assert pool._pool is None
+        fabric = DistFabric(2, StubSolver())
+        assert fabric in fabric_mod._LIVE_FABRICS
+        fabric.map([StubProblem(1)])
+        workers = _live_processes(fabric)
+        assert workers
+        fabric_mod._close_leaked_fabrics()
+        assert all(not p.is_alive() for p in workers)
 
     def test_engine_context_manager_closes_pool(self):
         bench = _fresh_bench()
-        with CPLAEngine(bench, fast_cpla(workers=2)) as engine:
-            engine._pool = LeafSolvePool(2, solver=None)
-            executor = _RecordingExecutor()
-            engine._pool._pool = executor
-        assert engine._pool is None
-        assert executor.shutdowns == 1
+        with CPLAEngine(
+            bench, fast_cpla(workers=2, exec_backend="dist")
+        ) as engine:
+            engine.run()
+            fabric = engine._backend
+            workers = _live_processes(fabric)
+            assert workers
+        assert engine._backend is None
+        assert all(not p.is_alive() for p in workers)

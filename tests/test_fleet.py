@@ -40,6 +40,7 @@ from repro.service.loadgen import (
     http_request,
     run_loadgen,
 )
+from tests.test_service import stalled_body_status
 
 # The standard smoke problem shared with tests/test_service.py.
 BODY = {
@@ -508,6 +509,23 @@ def test_gateway_error_passthrough_is_byte_exact(
     finally:
         gateway.stop()
         shard.close()
+
+
+def test_gateway_stalled_body_answers_408():
+    """The gateway's header timeout bounds the body read too."""
+    with socket.socket() as sock:  # a shard address nobody listens on
+        sock.bind(("127.0.0.1", 0))
+        dead_port = sock.getsockname()[1]
+    gateway = GatewayThread(GatewayConfig(
+        shards={"s0": ("127.0.0.1", dead_port)}, port=0,
+        header_timeout_seconds=0.5,
+    )).start()
+    try:
+        status, seconds = stalled_body_status(gateway.port)
+    finally:
+        gateway.stop()
+    assert status == 408
+    assert seconds < 10
 
 
 # -- obs check gates ---------------------------------------------------------

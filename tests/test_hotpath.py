@@ -1,4 +1,4 @@
-"""Hot-path optimization tests: incremental timing, warm starts, leaf pool.
+"""Hot-path optimization tests: incremental timing and warm starts.
 
 Covers the perf-overhaul invariants:
 
@@ -9,9 +9,7 @@ Covers the perf-overhaul invariants:
   it replaced;
 - warm-started partition solves match cold-start objectives;
 - the cached dense ``(A, b)`` of ``SDPProblem.constraint_matrix`` is
-  invalidated by new rows;
-- a failing leaf-solve pool downgrades to sequential solving instead of
-  crashing the run, and counts the failure.
+  invalidated by new rows.
 """
 
 from __future__ import annotations
@@ -19,18 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import CPLAEngine, LeafSolvePool
 from repro.core.problem import PairTerm, PartitionProblem, SegmentVar
 from repro.core.sdp_relaxation import SdpPartitionSolver, SdpRelaxationConfig
-from repro.ispd.synthetic import generate
 from repro.obs import metrics
-from repro.pipeline import prepare
 from repro.route.net import Segment
 from repro.solver.sdp import SDPProblem, SDPSettings
 from repro.timing.elmore import ElmoreEngine
-
-from tests.conftest import tiny_spec
-from tests.test_engine import fast_cpla
 
 
 @pytest.fixture(autouse=True)
@@ -238,47 +230,3 @@ class TestPartitionWarmStart:
         solver = SdpPartitionSolver(_sdp_cfg(False))
         solver.solve(_partition_problem())
         assert not solver._warm
-
-
-class TestLeafSolvePool:
-    def test_unpicklable_task_downgrades_pool(self):
-        metrics.enable()
-        pool = LeafSolvePool(2, solver=None)
-        try:
-            result = pool.map([lambda: None])  # lambdas cannot pickle
-            assert result is None
-            counters = metrics.registry().as_dict()["counters"]
-            assert counters["engine.pool_failures"] == 1
-            # The downgrade is permanent: no further pool attempts.
-            assert pool.map([object()]) is None
-        finally:
-            pool.shutdown()
-
-    def test_empty_submission_short_circuits(self):
-        pool = LeafSolvePool(2, solver=None)
-        try:
-            assert pool.map([]) == []
-            assert pool._pool is None  # no executor spawned for nothing
-        finally:
-            pool.shutdown()
-
-    def test_engine_survives_pool_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            LeafSolvePool, "map", lambda self, problems, leaf_mask=None: None
-        )
-        bench = prepare(generate(tiny_spec()))
-        report = CPLAEngine(bench, fast_cpla(workers=2)).run()
-        assert report.final_avg_tcp <= report.initial_avg_tcp
-
-    def test_pool_created_once_per_run(self, monkeypatch):
-        created = []
-        orig = LeafSolvePool.__init__
-
-        def counting_init(self, workers, solver):
-            created.append(workers)
-            orig(self, workers, solver)
-
-        monkeypatch.setattr(LeafSolvePool, "__init__", counting_init)
-        bench = prepare(generate(tiny_spec()))
-        CPLAEngine(bench, fast_cpla(workers=2, max_iterations=2)).run()
-        assert created == [2]

@@ -392,9 +392,9 @@ class TestEngineIntegration:
         spans = tracer.snapshot()
         worker_spans = [
             s for s in spans
-            if s["name"] == "engine.leaf" and s.get("attrs", {}).get("worker")
+            if s["name"] == "dist.chunk" and s.get("attrs", {}).get("worker")
         ]
-        assert worker_spans, "per-leaf spans from pool workers must be merged"
+        assert worker_spans, "per-chunk spans from dist workers must be merged"
         by_id = {s["id"]: s for s in spans}
         for s in worker_spans:
             assert by_id[s["parent"]]["name"] == "engine.iteration"

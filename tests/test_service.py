@@ -354,6 +354,39 @@ async def _get(server: ServerThread, path: str):
     return await http_request(server.config.host, server.port, "GET", path)
 
 
+def stalled_body_status(port: int) -> tuple:
+    """Send a head promising a 100-byte body, then stall.
+
+    Returns ``(status, seconds until the answer)``.
+    """
+    async def main():
+        started = time.monotonic()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(
+            b"POST /v1/assign HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 100\r\nConnection: close\r\n\r\n"
+        )
+        await writer.drain()
+        head = await asyncio.wait_for(
+            reader.readuntil(b"\r\n\r\n"), timeout=30
+        )
+        writer.close()
+        return int(head.split(b" ")[1]), time.monotonic() - started
+
+    return asyncio.run(main())
+
+
+def test_stalled_body_answers_408():
+    """The header timeout bounds the body read too."""
+    with ServerThread(
+        ServeConfig(port=0, header_timeout_seconds=0.5)
+    ) as server:
+        status, seconds = stalled_body_status(server.port)
+    assert status == 408
+    assert seconds < 10
+
+
 class TestServerEndToEnd:
     @pytest.fixture(scope="class")
     def server(self):

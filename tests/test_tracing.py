@@ -395,7 +395,14 @@ class TestDigestHonesty:
             with CPLAEngine(bench, config) as engine:
                 engine.run()
             if traced:
-                assert tracer.snapshot()  # it really did trace
+                spans = tracer.snapshot()
+                assert spans  # it really did trace
+                # Leaf extraction is its own span under the iteration.
+                by_id = {s["id"]: s for s in spans}
+                extracts = [s for s in spans if s["name"] == "engine.extract"]
+                assert extracts
+                for s in extracts:
+                    assert by_id[s["parent"]]["name"] == "engine.iteration"
             return assignment_digest(bench)
 
         assert run(traced=False) == run(traced=True)
